@@ -9,8 +9,8 @@
 //!   the derived queries-per-second, in **both walk-cache modes** (the
 //!   default cached engine and a `walk_cache_budget = 0` engine) and on
 //!   the f32 reserve arena,
-//! * walk-cache observability: budget, pool count, resident bytes,
-//!   terminal/η hit rates and mean wavefront peak over the query set,
+//! * walk-cache observability: budget, pool count, resident bytes and
+//!   terminal/η hit rates over the query set,
 //! * index memory: live postings, offset-table slots and resident
 //!   `size_bytes` for both arena precisions, plus the estimated resident
 //!   size of the pre-arena nested `Vec<Vec<Vec<(NodeId, f64)>>>` layout
@@ -46,8 +46,7 @@ use prsim_bench::hot::{hot_bench_config, percentile, HOT_C_MULT};
 use prsim_bench::json as mini_json;
 use prsim_core::pagerank::reverse_pagerank;
 use prsim_core::{
-    PagedOptions, Prsim, PrsimConfig, PrsimIndex, QueryPlan, QueryWorkspace, ReservePrecision,
-    SimRankScores,
+    PagedOptions, Prsim, PrsimConfig, PrsimIndex, QueryWorkspace, ReservePrecision, SimRankScores,
 };
 use prsim_gen::{chung_lu_undirected, ChungLuConfig};
 use prsim_graph::NodeId;
@@ -85,9 +84,9 @@ const PAGED_FRACS: &[f64] = &[1.0, 0.5, 0.25, 0.125];
 /// bytes must never exceed the budget.
 const PAGED_CURVE_TOLERANCE: f64 = 3.0;
 
-/// Plan-regression tolerance of `--check`: fail when the fused plan's
-/// p50, *normalized by the same-run reference-plan p50* (the two plans
-/// run interleaved per query, so the ratio cancels box drift that moves
+/// Plan-regression tolerance of `--check`: fail when the engine's p50,
+/// *normalized by the same-run reference-oracle p50* (the two answer
+/// every query interleaved, so the ratio cancels box drift that moves
 /// absolute microseconds by ±50% between runs), regresses more than
 /// 1.1x against the committed normalized p50.
 const PLAN_TOLERANCE: f64 = 1.1;
@@ -146,8 +145,6 @@ struct CacheAgg {
     died: usize,
     term_hits: usize,
     eta_hits: usize,
-    wavefront_peak_sum: usize,
-    queries: usize,
 }
 
 impl CacheAgg {
@@ -158,10 +155,6 @@ impl CacheAgg {
     fn eta_hit_rate(&self) -> f64 {
         self.eta_hits as f64 / (self.walks - self.died).max(1) as f64
     }
-
-    fn wavefront_peak_mean(&self) -> f64 {
-        self.wavefront_peak_sum as f64 / self.queries.max(1) as f64
-    }
 }
 
 struct CacheRow {
@@ -170,13 +163,12 @@ struct CacheRow {
     resident_bytes: usize,
     term_hit_rate: f64,
     eta_hit_rate: f64,
-    wavefront_peak_mean: f64,
 }
 
-/// The reference-plan half of the interleaved fused-vs-reference run:
-/// both plans answer every query back to back from identically seeded
-/// RNGs, alternating which goes first, so the speedup is a paired
-/// per-query statistic rather than a cross-run comparison.
+/// The reference-oracle half of the interleaved engine-vs-oracle run:
+/// both answer every query back to back from identically seeded RNGs,
+/// alternating which goes first, so the speedup is a paired per-query
+/// statistic rather than a cross-run comparison.
 struct PlanRow {
     p50_us: f64,
     qps: f64,
@@ -206,7 +198,6 @@ struct BenchRow {
     n: usize,
     m: usize,
     build_ms: f64,
-    plan: String,
     p50_us: f64,
     p95_us: f64,
     mean_us: f64,
@@ -257,28 +248,35 @@ fn serial_latencies(
         agg.died += stats.died;
         agg.term_hits += stats.cached_terminals;
         agg.eta_hits += stats.cached_eta;
-        agg.wavefront_peak_sum += stats.wavefront_peak;
-        agg.queries += 1;
     }
     let qps = sources.len() as f64 / start.elapsed().as_secs_f64();
     lat_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     (lat_us, qps)
 }
 
-/// Interleaved fused-vs-reference measurement on one engine: each query
-/// is answered by both plans back to back from identically seeded RNGs
-/// (the order alternates per query to cancel cache-warming asymmetry),
-/// yielding the reference-plan latency distribution, the paired
-/// per-query speedup median, and the worst plan-to-plan estimate
-/// divergence. The engine is handed back in its original plan.
-fn paired_plan_latencies(engine: &mut Prsim, sources: &[NodeId], guard: &mut f64) -> PlanRow {
-    let original = engine.config().plan;
+/// Interleaved engine-vs-oracle measurement: each query is answered by
+/// the engine and by the frozen reference oracle
+/// ([`Prsim::reference_single_source_with_workspace`]) back to back from
+/// identically seeded RNGs (the order alternates per query to cancel
+/// cache-warming asymmetry), yielding the oracle's latency
+/// distribution, the paired per-query speedup median, and the worst
+/// engine-to-oracle estimate divergence.
+fn paired_plan_latencies(engine: &Prsim, sources: &[NodeId], guard: &mut f64) -> PlanRow {
     let mut ws = QueryWorkspace::new();
+    // `reference = true` answers through the oracle.
+    let answer = |u: NodeId, seed: u64, reference: bool, ws: &mut QueryWorkspace| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (scores, _) = if reference {
+            engine.reference_single_source_with_workspace(u, ws, &mut rng)
+        } else {
+            engine.try_single_source_with_workspace(u, ws, &mut rng)
+        }
+        .expect("sources pre-checked");
+        scores
+    };
     for (i, &u) in sources.iter().take(10).enumerate() {
-        for plan in [QueryPlan::Reference, QueryPlan::Fused] {
-            engine.set_query_plan(plan);
-            let mut rng = StdRng::seed_from_u64(0xDEAD + i as u64);
-            *guard += sink(&engine.single_source_with_workspace(u, &mut ws, &mut rng));
+        for reference in [true, false] {
+            *guard += sink(&answer(u, 0xDEAD + i as u64, reference, &mut ws));
         }
     }
     let mut ref_us: Vec<f64> = Vec::with_capacity(sources.len());
@@ -286,28 +284,23 @@ fn paired_plan_latencies(engine: &mut Prsim, sources: &[NodeId], guard: &mut f64
     let mut max_abs_diff = 0.0f64;
     for (i, &u) in sources.iter().enumerate() {
         let order = if i % 2 == 0 {
-            [QueryPlan::Reference, QueryPlan::Fused]
+            [true, false]
         } else {
-            [QueryPlan::Fused, QueryPlan::Reference]
+            [false, true]
         };
-        let mut pair_us = [0.0f64; 2]; // [reference, fused]
+        let mut pair_us = [0.0f64; 2]; // [engine, reference]
         let mut answers: Vec<SimRankScores> = Vec::with_capacity(2);
-        for plan in order {
-            engine.set_query_plan(plan);
-            let mut rng = StdRng::seed_from_u64(1_000 + i as u64);
+        for reference in order {
             let t = Instant::now();
-            let (scores, _) = engine
-                .try_single_source_with_workspace(u, &mut ws, &mut rng)
-                .expect("sources pre-checked");
-            pair_us[(plan == QueryPlan::Fused) as usize] = t.elapsed().as_secs_f64() * 1e6;
+            let scores = answer(u, 1_000 + i as u64, reference, &mut ws);
+            pair_us[reference as usize] = t.elapsed().as_secs_f64() * 1e6;
             *guard += sink(&scores);
             answers.push(scores);
         }
         max_abs_diff = max_abs_diff.max(answers[0].max_abs_diff(&answers[1]));
-        ref_us.push(pair_us[0]);
-        ratios.push(pair_us[0] / pair_us[1]);
+        ref_us.push(pair_us[1]);
+        ratios.push(pair_us[1] / pair_us[0]);
     }
-    engine.set_query_plan(original);
     let total_ref_secs = ref_us.iter().sum::<f64>() / 1e6;
     ref_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
@@ -321,11 +314,9 @@ fn paired_plan_latencies(engine: &mut Prsim, sources: &[NodeId], guard: &mut f64
 
 /// Out-of-core sweep: demote the engine's arena to a v4 page file once,
 /// then serve the same seeded query set with the buffer pool capped at
-/// each budget fraction of the blob size. All points (and the resident
-/// engine they are compared to) run the reference plan — the paged
-/// arena resolves `Auto` to reference, so pinning keeps the sweep
-/// apples-to-apples. The sweep asserts fault-free serving (local disk,
-/// no injection) and that the pool honors every budget.
+/// each budget fraction of the blob size. The sweep asserts fault-free
+/// serving (local disk, no injection) and that the pool honors every
+/// budget.
 fn run_paged_sweep(engine: &Prsim, spec: &DatasetSpec, sources: &[NodeId]) -> Vec<PagedPoint> {
     let dir = std::env::temp_dir().join(format!("prsim_query_hot_paged_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
@@ -354,9 +345,8 @@ fn run_paged_sweep(engine: &Prsim, spec: &DatasetSpec, sources: &[NodeId]) -> Ve
         };
         let index = PrsimIndex::open_paged(Arc::new(FsStorage), &path, sorted.node_count(), &opts)
             .expect("budget fraction admits (meta tables outgrew the smallest fraction?)");
-        let mut paged = Prsim::from_parts(sorted.clone(), pi.clone(), index, config.clone())
+        let paged = Prsim::from_parts(sorted.clone(), pi.clone(), index, config.clone())
             .expect("paged engine builds");
-        paged.set_query_plan(QueryPlan::Reference);
         let mut agg = CacheAgg::default();
         let (lat_us, qps) = serial_latencies(&paged, sources, &mut guard, &mut agg);
         let stats = paged.index().paging_stats().expect("engine is paged");
@@ -405,8 +395,7 @@ fn run_dataset(spec: &DatasetSpec, queries: usize) -> BenchRow {
     let m = graph.edge_count();
 
     let t0 = Instant::now();
-    let mut engine =
-        Prsim::build(graph.clone(), hot_bench_config()).expect("bench config is valid");
+    let engine = Prsim::build(graph.clone(), hot_bench_config()).expect("bench config is valid");
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // Seeded query set: uniform random sources, fixed across runs.
@@ -430,14 +419,13 @@ fn run_dataset(spec: &DatasetSpec, queries: usize) -> BenchRow {
             resident_bytes: c.resident_bytes(),
             term_hit_rate: agg.term_hit_rate(),
             eta_hit_rate: agg.eta_hit_rate(),
-            wavefront_peak_mean: agg.wavefront_peak_mean(),
         }
     };
 
-    // Interleaved fused-vs-reference: the reference plan is the frozen
+    // Interleaved engine-vs-oracle: the reference oracle is the frozen
     // PR 5 back half, so this paired run is the same-box baseline the
     // committed `pr5` block and the `--check` plan gate are built on.
-    let reference = paired_plan_latencies(&mut engine, &sources, &mut guard);
+    let reference = paired_plan_latencies(&engine, &sources, &mut guard);
 
     // Secondary: the allocating entry point (fresh transient workspace
     // per query), i.e. what a naive caller pays.
@@ -508,7 +496,6 @@ fn run_dataset(spec: &DatasetSpec, queries: usize) -> BenchRow {
         n,
         m,
         build_ms,
-        plan: engine.query_plan().to_string(),
         p50_us: percentile(&lat_us, 0.50),
         p95_us: percentile(&lat_us, 0.95),
         mean_us,
@@ -566,28 +553,28 @@ fn render_json(rows: &[BenchRow], queries: usize, preserved: &[(&str, String)]) 
             r.name, r.n, r.m, r.build_ms
         ));
         out.push_str(&format!(
-            "     \"single_source\": {{\"plan\": \"{}\", \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"mean_us\": {:.1}, \"qps\": {:.1}, \"alloc_qps\": {:.1}}},\n",
-            r.plan, r.p50_us, r.p95_us, r.mean_us, r.qps, r.alloc_qps
+            "     \"single_source\": {{\"p50_us\": {:.1}, \"p95_us\": {:.1}, \"mean_us\": {:.1}, \"qps\": {:.1}, \"alloc_qps\": {:.1}}},\n",
+            r.p50_us, r.p95_us, r.mean_us, r.qps, r.alloc_qps
         ));
         out.push_str(&format!(
-            "     \"single_source_reference\": {{\"plan\": \"reference\", \"p50_us\": {:.1}, \"qps\": {:.1}, \"fused_speedup_paired\": {:.3}, \"max_abs_diff_vs_fused\": {:.3e}}},\n",
+            "     \"single_source_reference\": {{\"p50_us\": {:.1}, \"qps\": {:.1}, \"fused_speedup_paired\": {:.3}, \"max_abs_diff_vs_fused\": {:.3e}}},\n",
             r.reference.p50_us,
             r.reference.qps,
             r.reference.fused_speedup_paired,
             r.reference.max_abs_diff
         ));
         out.push_str(&format!(
-            "     \"single_source_nocache\": {{\"plan\": \"{}\", \"p50_us\": {:.1}, \"qps\": {:.1}}},\n",
-            r.plan, r.nocache_p50_us, r.nocache_qps
+            "     \"single_source_nocache\": {{\"p50_us\": {:.1}, \"qps\": {:.1}}},\n",
+            r.nocache_p50_us, r.nocache_qps
         ));
         out.push_str(&format!(
-            "     \"single_source_f32\": {{\"plan\": \"{}\", \"p50_us\": {:.1}, \"qps\": {:.1}}},\n",
-            r.plan, r.f32_p50_us, r.f32_qps
+            "     \"single_source_f32\": {{\"p50_us\": {:.1}, \"qps\": {:.1}}},\n",
+            r.f32_p50_us, r.f32_qps
         ));
         let c = &r.cache;
         out.push_str(&format!(
-            "     \"walk_cache\": {{\"budget\": {}, \"pools\": {}, \"resident_bytes\": {}, \"term_hit_rate\": {:.3}, \"eta_hit_rate\": {:.3}, \"wavefront_peak_mean\": {:.1}}},\n",
-            c.budget, c.pools, c.resident_bytes, c.term_hit_rate, c.eta_hit_rate, c.wavefront_peak_mean
+            "     \"walk_cache\": {{\"budget\": {}, \"pools\": {}, \"resident_bytes\": {}, \"term_hit_rate\": {:.3}, \"eta_hit_rate\": {:.3}}},\n",
+            c.budget, c.pools, c.resident_bytes, c.term_hit_rate, c.eta_hit_rate
         ));
         let ix = &r.index;
         out.push_str(&format!(
@@ -601,7 +588,7 @@ fn render_json(rows: &[BenchRow], queries: usize, preserved: &[(&str, String)]) 
             ix.size_bytes_f32 as f64 / ix.nested_f64_size_bytes.max(1) as f64
         ));
         out.push_str(&format!(
-            "     \"paged\": {{\"plan\": \"reference\", \"page_bytes\": {PAGED_PAGE_BYTES}, \"points\": ["
+            "     \"paged\": {{\"page_bytes\": {PAGED_PAGE_BYTES}, \"points\": ["
         ));
         for (j, p) in r.paged.iter().enumerate() {
             out.push_str(&format!(
@@ -678,14 +665,11 @@ fn main() {
         eprintln!("running {} (n = {}) ...", spec.name, spec.n);
         let row = run_dataset(spec, queries);
         eprintln!(
-            "  plan {} | reference p50 {:.0} us | paired speedup {:.2}x | plan diff {:.1e}",
-            row.plan,
-            row.reference.p50_us,
-            row.reference.fused_speedup_paired,
-            row.reference.max_abs_diff,
+            "  reference p50 {:.0} us | paired speedup {:.2}x | engine-vs-oracle diff {:.1e}",
+            row.reference.p50_us, row.reference.fused_speedup_paired, row.reference.max_abs_diff,
         );
         eprintln!(
-            "  build {:.1} ms | p50 {:.0} us | p95 {:.0} us | {:.0} qps serial ({:.0} nocache, {:.0} f32) | {:.0} qps batch | index {} B (f32 {} B) | cache {} B, hit {:.2}/{:.2}, peak {:.0}",
+            "  build {:.1} ms | p50 {:.0} us | p95 {:.0} us | {:.0} qps serial ({:.0} nocache, {:.0} f32) | {:.0} qps batch | index {} B (f32 {} B) | cache {} B, hit {:.2}/{:.2}",
             row.build_ms,
             row.p50_us,
             row.p95_us,
@@ -698,7 +682,6 @@ fn main() {
             row.cache.resident_bytes,
             row.cache.term_hit_rate,
             row.cache.eta_hit_rate,
-            row.cache.wavefront_peak_mean,
         );
         for p in &row.paged {
             eprintln!(

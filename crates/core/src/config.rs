@@ -41,44 +41,6 @@ impl HubCount {
     }
 }
 
-/// Execution strategy of the single-source query back half (per-terminal
-/// backward walks + `ŝ_I`/`ŝ_B` aggregation).
-///
-/// Both plans draw **the same RNG stream** — the walk phase, the
-/// per-terminal VBBW coins and the tail draws are consumed in the same
-/// order — so their estimates agree to float-reassociation accuracy
-/// (the fused plan folds each backward walk's final level and the
-/// postings runs directly into the dense accumulator instead of
-/// materializing sorted intermediates, which reorders *additions of the
-/// same addends* but nothing else). `tests/dynamic_differential.rs`
-/// pins the two plans together at `1e-9` across update streams.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueryPlan {
-    /// Fused while the postings arena is memory-resident (always, until
-    /// the out-of-core buffer manager lands), reference otherwise.
-    #[default]
-    Auto,
-    /// Force the fused plan: per-terminal VBBW folded straight into the
-    /// query accumulator, branchless scatter over the postings runs, no
-    /// intermediate sorted buffers.
-    Fused,
-    /// Force the phase-separated pipeline (materialized backward
-    /// estimates, streamed postings, radix sort + coalesce + merge) —
-    /// the reference implementation the fused plan is differenced
-    /// against.
-    Reference,
-}
-
-impl std::fmt::Display for QueryPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            QueryPlan::Auto => "auto",
-            QueryPlan::Fused => "fused",
-            QueryPlan::Reference => "reference",
-        })
-    }
-}
-
 /// Full PRSim configuration: decay factor, accuracy target and index policy.
 #[derive(Clone, Debug)]
 pub struct PrsimConfig {
@@ -117,9 +79,6 @@ pub struct PrsimConfig {
     /// `--no-walk-cache`. Validated against
     /// [`PrsimConfig::MAX_WALK_CACHE_BUDGET`].
     pub walk_cache_budget: usize,
-    /// Query back-half execution plan (see [`QueryPlan`]). `Auto`
-    /// resolves per engine via [`crate::Prsim::query_plan`].
-    pub plan: QueryPlan,
 }
 
 impl Default for PrsimConfig {
@@ -134,7 +93,6 @@ impl Default for PrsimConfig {
             build_threads: 4,
             reserve_precision: ReservePrecision::F64,
             walk_cache_budget: 256,
-            plan: QueryPlan::Auto,
         }
     }
 }

@@ -90,6 +90,13 @@ impl DenseScratch {
         }
     }
 
+    /// Multiplies every present entry by `factor`.
+    pub(crate) fn scale(&mut self, factor: f64) {
+        for &v in &self.touched {
+            self.slots[v as usize].value *= factor;
+        }
+    }
+
     /// Folds one postings slice into the accumulator: `self[v] += scale·x`
     /// for parallel `nodes`/`values` arrays (the index gather loop, kept
     /// here so the scan stays monomorphic over the value width).
@@ -532,36 +539,24 @@ pub struct QueryWorkspace {
     /// Raw `(w, ℓ)` terminal observations; sorted + run-length counted
     /// into `η̂π` at the end of the sampling phase.
     pub(crate) terminals: Vec<(NodeId, u32)>,
-    /// One round's terminal draws (interleaved sampling output).
-    pub(crate) term_buf: Vec<(NodeId, u32)>,
-    /// Pair-walk start nodes for the η rejection test.
-    pub(crate) pair_buf: Vec<(NodeId, NodeId)>,
-    /// Pair-meeting verdicts aligned with `pair_buf`.
-    pub(crate) met_buf: Vec<bool>,
     /// Flattened `(v, ŝ_B^i(v))` entries across rounds (median trick).
     pub(crate) round_entries: Vec<(NodeId, f64)>,
     /// Per-node value buffer for the median computation.
     pub(crate) median_buf: Vec<f64>,
     /// Scaled index postings of the accepted hub terminals, gathered
     /// sequentially and then radix-sorted + coalesced by node — the
-    /// scatter-free `ŝ_I` path.
+    /// reference oracle's scatter-free `ŝ_I` path.
     pub(crate) ix_buf: Vec<(NodeId, f64)>,
     /// Ping-pong buffer for the radix sort of `ix_buf`.
     pub(crate) ix_tmp: Vec<(NodeId, f64)>,
     /// Scaled backward-walk estimates, streamed flat and radix-coalesced
-    /// by node — the scatter-free `ŝ_B` path on large graphs (the `ŝ_I`
-    /// strategy applied to the backward fold).
+    /// by node — the reference oracle's scatter-free `ŝ_B` path on large
+    /// graphs.
     pub(crate) bw_buf: Vec<(NodeId, f64)>,
-    /// Frontier + radix scratch of the sorted-wavefront walk kernels.
-    pub(crate) wave: crate::walk::WaveScratch,
     /// Per-query consumption cursors over the terminal-sample cache.
     pub(crate) cache_cursors: crate::walkcache::CacheCursors,
-    /// Positions (into `term_buf`) of terminals whose η test runs live.
-    pub(crate) pair_idx: Vec<u32>,
-    /// Verdicts of the live pair batch, aligned with `pair_buf`.
-    pub(crate) pair_met: Vec<bool>,
-    /// One round's resolved `(w, ℓ, met)` samples — the walk phase's
-    /// unified output across the interleaved and wavefront kernels.
+    /// One chunk's resolved `(w, ℓ, met)` samples — the walk phase's
+    /// output.
     pub(crate) sample_buf: Vec<(NodeId, u32, bool)>,
     /// Decode buffers for postings served out of a paged arena's buffer
     /// pool ([`crate::PrsimIndex::postings_in`]); unused (and unsized)

@@ -9,12 +9,13 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use prsim_core::pagerank::{rank_by_pagerank, reverse_pagerank};
 use prsim_core::{
     HubCount, PagedOptions, Postings, PostingsScratch, Prsim, PrsimConfig, PrsimIndex, QueryParams,
-    QueryPlan, ReservePrecision,
+    ReservePrecision,
 };
 use prsim_graph::ordering::sort_out_by_in_degree;
 use prsim_graph::{DiGraph, GraphBuilder, NodeId};
@@ -263,8 +264,9 @@ fn pressure_graph() -> DiGraph {
 }
 
 /// Builds the resident truth engine plus a paged twin served from
-/// `storage`, both pinned to the Reference plan so the comparison is
-/// bit-exact by construction.
+/// `storage`, both at the default engine options: a paged arena runs
+/// the same query pipeline as a resident one, so fault-free answers
+/// must match bit-for-bit.
 fn paged_twin(
     g: &DiGraph,
     storage: Arc<dyn prsim_storage::Storage>,
@@ -272,8 +274,7 @@ fn paged_twin(
     paged_opts: &PagedOptions,
 ) -> (Prsim, Prsim) {
     let config = engine_config();
-    let mut resident = Prsim::build(g.clone(), config.clone()).unwrap();
-    resident.set_query_plan(QueryPlan::Reference);
+    let resident = Prsim::build(g.clone(), config.clone()).unwrap();
     resident
         .index()
         .write_paged(&FsStorage, path, paged_opts.page_bytes)
@@ -282,8 +283,7 @@ fn paged_twin(
     // from_parts re-derives π over the engine's (already sorted) graph.
     let sorted = resident.graph().clone();
     let pi = reverse_pagerank(&sorted, config.sqrt_c(), 1e-12, config.max_level);
-    let mut paged = Prsim::from_parts(sorted, pi, index, config).unwrap();
-    paged.set_query_plan(QueryPlan::Reference);
+    let paged = Prsim::from_parts(sorted, pi, index, config).unwrap();
     (resident, paged)
 }
 
@@ -369,9 +369,11 @@ fn paged_budget_admission_rejects_infeasible_budgets() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Chaos: under injected page-read faults and bit-rot, every query
-    /// either matches the resident truth bit-for-bit or reports
-    /// `degraded = true` — never a wrong answer, never a crash.
+    /// Chaos: under injected page-read faults and bit-rot, every query,
+    /// untimed or timed, either matches the resident (untimed) truth
+    /// bit-for-bit or reports `degraded = true` — never a wrong answer,
+    /// never a crash. The timed query's deadline never expires and
+    /// `d_r` = 400 is one chunk, so it draws the untimed stream.
     #[test]
     fn paged_queries_exact_or_degraded_under_read_faults(
         seed in 0u64..u64::MAX,
@@ -404,14 +406,21 @@ proptest! {
             let (truth, _) = resident
                 .try_single_source(source, &mut StdRng::seed_from_u64(q_seed))
                 .unwrap();
-            let (scores, stats) = paged
-                .try_single_source(source, &mut StdRng::seed_from_u64(q_seed))
-                .map_err(|e| format!("query died under faults: {e}"))?;
-            if !stats.degraded {
-                prop_assert_eq!(scores.top_k(50), truth.top_k(50),
-                                "non-degraded answer differs at source {}", source);
-            } else {
-                prop_assert!(stats.page_fallbacks > 0);
+            for timeout in [None, Some(Duration::from_secs(3600))] {
+                let (scores, stats) = paged
+                    .try_single_source_with_deadline(
+                        source,
+                        timeout,
+                        &mut StdRng::seed_from_u64(q_seed),
+                    )
+                    .map_err(|e| format!("query died under faults: {e}"))?;
+                if !stats.degraded {
+                    prop_assert_eq!(scores.top_k(50), truth.top_k(50),
+                                    "non-degraded answer differs at source {} (timeout {:?})",
+                                    source, timeout);
+                } else {
+                    prop_assert!(stats.page_fallbacks > 0);
+                }
             }
         }
         let _ = fs::remove_dir_all(&dir);

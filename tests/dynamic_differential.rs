@@ -273,17 +273,18 @@ fn stream_that_empties_the_graph_entirely() {
 }
 
 /// Max |ŝ_fused − ŝ_reference| on the *same* engine and RNG stream. The
-/// two plans consume identical samples; the only permitted difference is
-/// the fused plan's final-level fold reassociation, which is ~1 ulp per
-/// entry — 1e-9 leaves seven orders of magnitude of headroom while still
-/// catching any real divergence (a skipped terminal, a double-counted
-/// posting, a stale accumulator slot).
+/// engine's fused pipeline and the reference oracle consume identical
+/// samples; the only permitted difference is the fused fold's
+/// final-level reassociation, which is ~1 ulp per entry — 1e-9 leaves
+/// seven orders of magnitude of headroom while still catching any real
+/// divergence (a skipped terminal, a double-counted posting, a stale
+/// accumulator slot).
 const PLAN_TOL: f64 = 1e-9;
 
 /// Replays `stream` on one incremental engine and, at every probe,
-/// answers each source under both query plans from identically seeded
-/// RNGs. Unlike the incremental-vs-fresh regimes above, this bound is
-/// numerical, not statistical.
+/// answers each source through the engine and through the reference
+/// oracle from identically seeded RNGs. Unlike the incremental-vs-fresh
+/// regimes above, this bound is numerical, not statistical.
 fn check_plan_differential(cfg: PrsimConfig, stream: &[EdgeUpdate], seed: u64) {
     let base = prsim::gen::chung_lu_undirected(prsim::gen::ChungLuConfig::new(36, 4.0, 2.0, 13));
     let params = DynamicParams {
@@ -291,16 +292,21 @@ fn check_plan_differential(cfg: PrsimConfig, stream: &[EdgeUpdate], seed: u64) {
         ..Default::default()
     };
     let mut engine = DynamicPrsim::new(&base, cfg, UpdateMode::Incremental(params)).unwrap();
-    let probe = |engine: &mut DynamicPrsim, at: usize| {
+    let mut ws = prsim::core::QueryWorkspace::new();
+    let mut probe = |engine: &mut DynamicPrsim, at: usize| {
         let n = engine.node_count() as u32;
         for &u in &[0u32, n / 2, n - 1] {
-            engine.set_query_plan(prsim::core::QueryPlan::Fused);
             let (fused, fstats) = engine
                 .single_source(u, &mut StdRng::seed_from_u64(seed ^ u as u64))
                 .unwrap();
-            engine.set_query_plan(prsim::core::QueryPlan::Reference);
             let (reference, rstats) = engine
-                .single_source(u, &mut StdRng::seed_from_u64(seed ^ u as u64))
+                .engine()
+                .expect("incremental engines are always built")
+                .reference_single_source_with_workspace(
+                    u,
+                    &mut ws,
+                    &mut StdRng::seed_from_u64(seed ^ u as u64),
+                )
                 .unwrap();
             let diff = fused.max_abs_diff(&reference);
             assert!(
@@ -321,7 +327,7 @@ fn check_plan_differential(cfg: PrsimConfig, stream: &[EdgeUpdate], seed: u64) {
     probe(&mut engine, stream.len());
 }
 
-/// Deterministic mixed stream shared by the plan-differential regimes.
+/// Deterministic mixed stream shared by the engine-vs-oracle regimes.
 fn plan_stream() -> Vec<EdgeUpdate> {
     (0..12u32)
         .map(|i| {
@@ -335,7 +341,7 @@ fn plan_stream() -> Vec<EdgeUpdate> {
 }
 
 /// Fused vs reference across an update stream, f64 reserves, walk cache
-/// enabled (both plans consume cached draws identically).
+/// enabled (the engine and the oracle consume cached draws identically).
 #[test]
 fn fused_matches_reference_across_updates_f64() {
     let cfg = PrsimConfig {
@@ -346,8 +352,8 @@ fn fused_matches_reference_across_updates_f64() {
     check_plan_differential(cfg, &plan_stream(), 0xF05ED);
 }
 
-/// Same regime over f32 reserves: quantization moves both plans by the
-/// same amount, so the plan-to-plan bound stays numerical.
+/// Same regime over f32 reserves: quantization moves both pipelines by
+/// the same amount, so the engine-to-oracle bound stays numerical.
 #[test]
 fn fused_matches_reference_across_updates_f32() {
     let cfg = PrsimConfig {

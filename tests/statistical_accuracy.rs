@@ -14,12 +14,15 @@
 //! of the time. No retries, no tolerance slop beyond ε itself.
 
 use prsim::baselines::power_method;
+use prsim::core::query::DEADLINE_CHUNK_WALKS;
 use prsim::core::{
-    DynamicPrsim, HubCount, Prsim, PrsimConfig, QueryParams, QueryPlan, ReservePrecision,
+    DynamicPrsim, HubCount, Prsim, PrsimConfig, QueryParams, QueryWorkspace, ReservePrecision,
+    SimRankScores,
 };
 use prsim::graph::DiGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Duration;
 
 /// Every engine in this suite keeps the walk cache **off** unless a test
 /// explicitly opts in: the cached-walk regimes below assert the cache's
@@ -50,12 +53,41 @@ fn accuracy_config(dr: usize, fr: usize) -> PrsimConfig {
 
 /// Asserts max-abs error of `engine` vs exact SimRank over `sources`.
 fn assert_within_eps(engine: &Prsim, g: &DiGraph, sources: &[u32], seed: u64) {
+    assert_within_eps_timed(engine, g, sources, seed, None);
+}
+
+/// [`assert_within_eps`] with every query under `timeout`; each answer
+/// must also report that it finished its full sample budget.
+fn assert_within_eps_timed(
+    engine: &Prsim,
+    g: &DiGraph,
+    sources: &[u32],
+    seed: u64,
+    timeout: Option<Duration>,
+) {
+    assert_answers_within_eps(g, sources, seed, |u, rng| {
+        let (scores, stats) = engine
+            .try_single_source_with_deadline(u, timeout, rng)
+            .unwrap();
+        assert!(!stats.degraded, "query at {u} shed work");
+        scores
+    });
+}
+
+/// Asserts max-abs error vs exact SimRank of the answers `query` gives
+/// for `sources`, each drawn from `StdRng::seed_from_u64(seed ^ u)`.
+fn assert_answers_within_eps(
+    g: &DiGraph,
+    sources: &[u32],
+    seed: u64,
+    mut query: impl FnMut(u32, &mut StdRng) -> SimRankScores,
+) {
     let exact = power_method(g, C, 1e-12, 200);
     let mut worst: f64 = 0.0;
     let mut worst_at = (0u32, 0u32);
     for &u in sources {
         let mut rng = StdRng::seed_from_u64(seed ^ u as u64);
-        let scores = engine.single_source(u, &mut rng);
+        let scores = query(u, &mut rng);
         for v in 0..g.node_count() as u32 {
             let err = (scores.get(v) - exact.get(u, v)).abs();
             if err > worst {
@@ -98,6 +130,29 @@ fn median_trick_rounds_also_beat_eps() {
     let dr = hoeffding_dr(sources.len() * g.node_count(), EPS, DELTA);
     let engine = Prsim::build(g.clone(), accuracy_config(dr, 3)).unwrap();
     assert_within_eps(&engine, &g, &sources, 0xACE);
+}
+
+#[test]
+fn timed_chunked_query_beats_eps() {
+    // A timed query draws its walks in DEADLINE_CHUNK_WALKS-sized chunks
+    // (the clock is read between them). With a deadline that cannot
+    // expire every chunk runs, and the chunked estimate must meet the
+    // same Hoeffding-derived bound at the same d_r as an untimed query.
+    let g = prsim::gen::chung_lu_undirected(prsim::gen::ChungLuConfig::new(60, 5.0, 2.0, 101));
+    let sources = [0u32, 17, 59];
+    let dr = hoeffding_dr(sources.len() * g.node_count(), EPS, DELTA);
+    assert!(
+        dr > DEADLINE_CHUNK_WALKS,
+        "d_r = {dr} must span several chunks"
+    );
+    let engine = Prsim::build(g.clone(), accuracy_config(dr, 1)).unwrap();
+    assert_within_eps_timed(
+        &engine,
+        &g,
+        &sources,
+        0xAC7,
+        Some(Duration::from_secs(3600)),
+    );
 }
 
 #[test]
@@ -200,43 +255,37 @@ fn cached_walk_regime_beats_eps_with_f32_reserves() {
 
 #[test]
 fn fused_plan_beats_eps_under_the_same_hoeffding_bound() {
-    // The fused back-half (per-terminal VBBW folded straight into the
-    // accumulator, branchless ŝ_I scatter) is pinned to the *same*
-    // Hoeffding-derived d_r as the reference plan — it reorders float
-    // adds, it does not resample — so it must meet the same ε with no
-    // extra budget. Forced explicitly rather than relying on `Auto`
-    // resolving to Fused, so the bound keeps holding even if the Auto
-    // rule changes.
+    // The fused back half (per-terminal VBBW folded straight into the
+    // accumulator, branchless ŝ_I scatter) is the engine's only query
+    // pipeline. It is held to the *same* Hoeffding-derived d_r as the
+    // reference oracle — it reorders float adds, it does not resample —
+    // so both must meet the same ε with no extra budget.
     let g = prsim::gen::chung_lu_undirected(prsim::gen::ChungLuConfig::new(60, 5.0, 2.0, 101));
     let sources = [0u32, 17, 59];
     let dr = hoeffding_dr(sources.len() * g.node_count(), EPS, DELTA);
-    let fused = PrsimConfig {
-        plan: QueryPlan::Fused,
-        ..accuracy_config(dr, 1)
-    };
-    let engine = Prsim::build(g.clone(), fused).unwrap();
+    let engine = Prsim::build(g.clone(), accuracy_config(dr, 1)).unwrap();
     assert_within_eps(&engine, &g, &sources, 0xACC);
 
-    // And the reference plan, same seeds, same bound: both plans are
-    // full citizens of the accuracy contract.
-    let reference = PrsimConfig {
-        plan: QueryPlan::Reference,
-        ..accuracy_config(dr, 1)
-    };
-    let engine = Prsim::build(g.clone(), reference).unwrap();
-    assert_within_eps(&engine, &g, &sources, 0xACC);
+    // And the reference oracle, same seeds, same bound: the differential
+    // tests compare against it, so it is held to the accuracy contract too.
+    let mut ws = QueryWorkspace::new();
+    assert_answers_within_eps(&g, &sources, 0xACC, |u, rng| {
+        engine
+            .reference_single_source_with_workspace(u, &mut ws, rng)
+            .unwrap()
+            .0
+    });
 }
 
 #[test]
 fn fused_plan_beats_eps_with_cache_and_median_rounds() {
-    // Fused plan under the heaviest estimator configuration: median
+    // Fused pipeline under the heaviest estimator configuration: median
     // trick over f_r = 3 rounds with a fully cached walk phase. Same
     // Hoeffding d_r, same ε.
     let g = prsim::gen::chung_lu_undirected(prsim::gen::ChungLuConfig::new(40, 4.0, 2.2, 104));
     let sources = [0u32, 20, 39];
     let dr = hoeffding_dr(sources.len() * g.node_count(), EPS, DELTA);
     let config = PrsimConfig {
-        plan: QueryPlan::Fused,
         walk_cache_budget: g.node_count(),
         ..accuracy_config(dr, 3)
     };
